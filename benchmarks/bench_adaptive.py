@@ -59,6 +59,7 @@ from repro.serving import (  # noqa: E402
     generate_drifting_requests,
 )
 
+from benchmarks._gate import check_ratios  # noqa: E402
 from benchmarks._tables import format_table  # noqa: E402
 
 SEED = 1997
@@ -193,25 +194,6 @@ async def run_contender(
     return row
 
 
-def check_against_baseline(payload: dict, baseline_path: Path) -> None:
-    """Fail when the adaptation ratio regresses >2x vs the baseline.
-
-    The ratio compares two plans under one cost model on one seeded
-    workload, so the check is machine-independent.
-    """
-    baseline = json.loads(baseline_path.read_text())
-    recorded = baseline.get("ratio")
-    if recorded is None:
-        return
-    floor = recorded / 2.0
-    if payload["ratio"] < floor:
-        raise SystemExit(
-            f"adaptation ratio {payload['ratio']:.2f}x < half the "
-            f"baseline's {recorded:.2f}x ({baseline_path.name})"
-        )
-    print(f"adaptation ratio within 2x of {baseline_path.name}")
-
-
 def run(smoke: bool = False, out: Path | None = None) -> dict:
     requests = 150 if smoke else 600
     frozen = asyncio.run(run_contender(False, requests))
@@ -305,7 +287,9 @@ def main() -> None:
         out = REPO_ROOT / "BENCH_adaptive.json"
     payload = run(smoke=args.smoke, out=out)
     if args.baseline is not None:
-        check_against_baseline(payload, args.baseline)
+        check_ratios(
+            payload, args.baseline, metric="ratio", what="adaptation ratio"
+        )
 
 
 if __name__ == "__main__":

@@ -41,6 +41,7 @@ import numpy as np  # noqa: E402
 from repro.query.engine import RangeQueryEngine  # noqa: E402
 from repro.query.workload import make_cube, random_query_arrays  # noqa: E402
 
+from benchmarks._gate import check_ratios  # noqa: E402
 from benchmarks._tables import format_table  # noqa: E402
 
 SHAPES = {2: (256, 256), 3: (48, 48, 48), 4: (16, 16, 16, 16)}
@@ -112,37 +113,6 @@ def bench_max(engine, lows, highs) -> dict:
         "speedup": scalar_s / batch_s,
         "identical": identical,
     }
-
-
-def check_against_baseline(payload: dict, baseline_path: Path) -> None:
-    """Fail when a speedup ratio regresses >2x vs the recorded baseline.
-
-    Compares ``speedup = scalar_s / batch_s`` per matching ``(d, K)``
-    row; absolute times never enter the comparison, so a slower CI
-    machine does not trip the gate — only a genuinely slower batch path
-    relative to the scalar path on the same box does.
-    """
-    baseline = json.loads(baseline_path.read_text())
-    failures = []
-    for section in ("sum", "max"):
-        current = {(r["d"], r["K"]): r for r in payload.get(section, [])}
-        for row in baseline.get(section, []):
-            match = current.get((row["d"], row["K"]))
-            if match is None:
-                continue  # e.g. smoke runs only K=100
-            floor = row["speedup"] / 2.0
-            if match["speedup"] < floor:
-                failures.append(
-                    f"{section} d={row['d']} K={row['K']}: speedup "
-                    f"{match['speedup']:.1f}x < half the baseline's "
-                    f"{row['speedup']:.1f}x"
-                )
-    if failures:
-        raise SystemExit(
-            "batch throughput regressed >2x vs "
-            f"{baseline_path.name}:\n  " + "\n  ".join(failures)
-        )
-    print(f"speedup ratios within 2x of {baseline_path.name}")
 
 
 def run(smoke: bool = False, out: Path | None = None) -> dict:
@@ -259,7 +229,18 @@ def main() -> None:
         out = REPO_ROOT / "BENCH_batch_query.json"
     payload = run(smoke=args.smoke, out=out)
     if args.baseline is not None:
-        check_against_baseline(payload, args.baseline)
+        check_ratios(
+            payload,
+            args.baseline,
+            metric="speedup",
+            what="batch speedup",
+            fields=("section", "d", "K"),
+            rows=lambda p: [
+                {**row, "section": section}
+                for section in ("sum", "max")
+                for row in p.get(section, [])
+            ],
+        )
 
 
 if __name__ == "__main__":

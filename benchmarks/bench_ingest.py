@@ -59,6 +59,7 @@ from repro.ingest import (  # noqa: E402
 )
 from repro.query.ranges import RangeQuery, RangeSpec  # noqa: E402
 
+from benchmarks._gate import check_ratios  # noqa: E402
 from benchmarks._tables import format_table  # noqa: E402
 
 SEED = 1997
@@ -226,21 +227,6 @@ def run(smoke: bool = False, out: Path | None = None) -> dict:
     return payload
 
 
-def check_against_baseline(payload: dict, baseline_path: Path) -> None:
-    """Fail when the speedup regresses >2x vs the recorded baseline."""
-    baseline = json.loads(baseline_path.read_text())
-    recorded = baseline.get("speedup")
-    if recorded is None:
-        return
-    floor = recorded / 2.0
-    if payload["speedup"] < floor:
-        raise SystemExit(
-            f"one-pass speedup {payload['speedup']:.2f}x < half the "
-            f"baseline's {recorded:.2f}x ({baseline_path.name})"
-        )
-    print(f"ingest speedup within 2x of {baseline_path.name}")
-
-
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument(
@@ -268,7 +254,9 @@ def main() -> None:
         out = REPO_ROOT / "BENCH_ingest.json"
     payload = run(smoke=args.smoke, out=out)
     if args.baseline is not None:
-        check_against_baseline(payload, args.baseline)
+        check_ratios(
+            payload, args.baseline, metric="speedup", what="one-pass speedup"
+        )
 
 
 if __name__ == "__main__":

@@ -1,14 +1,13 @@
 """Execution-kernel benchmark: backend × structure × K × shape.
 
-The kernel layer (``repro.kernels``) gives every batch query path a
-pluggable backend: ``numpy`` is the historical serial-boundary code
-factored out verbatim (the correctness oracle), ``threaded`` runs the
-vectorized one-pass boundary machinery with shard-and-combine
-parallelism, and ``numba`` JIT-compiles the segment reductions when the
-optional dependency is importable (degrading to the vectorized path
-otherwise).  This benchmark times ``sum_many`` under every registered
-backend against the ``numpy`` oracle on the blocked structures — where
-the backends genuinely diverge — and asserts bit-identical answers.
+The kernel layer (``repro.kernels``) decides how the batch primitives
+run: ``numpy`` single-threaded, ``threaded`` sharded across a worker
+pool, and ``numba`` with JIT-compiled segment reductions when the
+optional dependency is importable (the numpy primitives otherwise).
+This benchmark times blocked ``sum_many`` under every registered backend
+against the oracle — the structure's scalar query answered row by row,
+the protocol's default ``sum_many`` loop — and asserts bit-identical
+answers.
 
 Runs as a plain script and emits machine-readable results to
 ``BENCH_kernels.json`` at the repository root::
@@ -18,8 +17,8 @@ Runs as a plain script and emits machine-readable results to
 
 With ``--baseline BENCH_kernels.json`` the run fails when any matching
 ``(structure, backend, d, K)`` row's speedup-vs-oracle ratio regresses
-more than 2x against the recorded baseline — ratios compare two code
-paths on the same machine, so the gate is machine-independent.
+more than 2x against the recorded baseline, or when no row matches
+(see ``benchmarks/_gate.py``).
 """
 
 from __future__ import annotations
@@ -38,11 +37,13 @@ from benchmarks._env import thread_config  # noqa: E402  (pins thread env)
 
 import numpy as np  # noqa: E402
 
+from repro.index.protocol import RangeSumIndexMixin  # noqa: E402
 from repro.index.registry import create_index  # noqa: E402
 from repro.kernels import available_kernels, get_kernel  # noqa: E402
 from repro.kernels.numba_kernel import numba_available  # noqa: E402
 from repro.query.workload import make_cube, random_query_arrays  # noqa: E402
 
+from benchmarks._gate import check_ratios  # noqa: E402
 from benchmarks._tables import format_table  # noqa: E402
 
 #: One entry per structure configuration the backends are raced on.
@@ -111,17 +112,14 @@ def bench_config(config: dict, batch_sizes: tuple[int, ...]) -> list[dict]:
     rows = []
     for count in batch_sizes:
         lows, highs = random_query_arrays(shape, count, rng)
-        index.kernel = get_kernel("numpy")
-        oracle_values = index.sum_many(lows, highs)
-        oracle_s = _best_of(lambda: index.sum_many(lows, highs))
+        oracle_values = RangeSumIndexMixin.sum_many(index, lows, highs)
+        oracle_s = _best_of(
+            lambda: RangeSumIndexMixin.sum_many(index, lows, highs)
+        )
         for backend in bench_backends():
             index.kernel = get_kernel(backend)
             values = index.sum_many(lows, highs)
-            backend_s = (
-                oracle_s
-                if backend == "numpy"
-                else _best_of(lambda: index.sum_many(lows, highs))
-            )
+            backend_s = _best_of(lambda: index.sum_many(lows, highs))
             rows.append(
                 {
                     "structure": config["structure"],
@@ -145,52 +143,18 @@ def bench_config(config: dict, batch_sizes: tuple[int, ...]) -> list[dict]:
     return rows
 
 
-def check_against_baseline(payload: dict, baseline_path: Path) -> None:
-    """Fail when a speedup ratio regresses >2x vs the recorded baseline.
-
-    Compares ``speedup = oracle_s / backend_s`` per matching
-    ``(structure, backend, d, K)`` row; absolute times never enter the
-    comparison, so a slower CI machine does not trip the gate — only a
-    kernel genuinely slower relative to the oracle on the same box does.
-    """
-    baseline = json.loads(baseline_path.read_text())
-    current = {
-        (r["structure"], r["backend"], r["d"], r["K"]): r
-        for r in payload["results"]
-    }
-    failures = []
-    for row in baseline.get("results", []):
-        match = current.get(
-            (row["structure"], row["backend"], row["d"], row["K"])
-        )
-        if match is None:
-            continue  # e.g. smoke runs trim K and configs
-        floor = row["speedup"] / 2.0
-        if match["speedup"] < floor:
-            failures.append(
-                f"{row['structure']} backend={row['backend']} "
-                f"d={row['d']} K={row['K']}: speedup "
-                f"{match['speedup']:.2f}x < half the baseline's "
-                f"{row['speedup']:.2f}x"
-            )
-    if failures:
-        raise SystemExit(
-            "kernel throughput regressed >2x vs "
-            f"{baseline_path.name}:\n  " + "\n  ".join(failures)
-        )
-    print(f"speedup ratios within 2x of {baseline_path.name}")
-
-
 def run(smoke: bool = False, out: Path | None = None) -> dict:
     configs = SMOKE_CONFIGS if smoke else CONFIGS
-    batch_sizes = (50,) if smoke else BATCH_SIZES
+    # Smoke runs keep K = 100, a batch size the baseline records, so the
+    # gate always has rows to compare.
+    batch_sizes = (100,) if smoke else BATCH_SIZES
     results = []
     for config in configs:
         results.extend(bench_config(config, batch_sizes))
 
     print(
         format_table(
-            "Kernel backends: sum_many vs the numpy oracle",
+            "Kernel backends: sum_many vs the row-by-row oracle",
             [
                 "structure",
                 "backend",
@@ -215,9 +179,10 @@ def run(smoke: bool = False, out: Path | None = None) -> dict:
                 for r in results
             ],
             note=(
-                "oracle: per-query serial boundary loops (the historical "
-                "path); threaded/numba: one-pass vectorized boundary "
-                "reduction, sharded across the pinned worker pool."
+                "oracle: the scalar query row by row; backends: the "
+                "one-pass blocked batch path, primitives run serially "
+                "(numpy) or sharded across the pinned worker pool "
+                "(threaded)."
             ),
         )
     )
@@ -248,7 +213,7 @@ def run(smoke: bool = False, out: Path | None = None) -> dict:
     if not all(r["identical"] for r in results):
         diverged = [r for r in results if not r["identical"]]
         raise SystemExit(
-            f"kernel results diverged from the numpy oracle: {diverged}"
+            f"kernel results diverged from the row-by-row oracle: {diverged}"
         )
     if not smoke:
         headline = max(
@@ -262,7 +227,7 @@ def run(smoke: bool = False, out: Path | None = None) -> dict:
         if headline["speedup"] < 2.0:
             raise SystemExit(
                 f"threaded headline speedup {headline['speedup']:.2f}x "
-                "< 2x over the numpy oracle (large-K blocked batch)"
+                "< 2x over the row-by-row oracle (large-K blocked batch)"
             )
     if out is not None:
         out.write_text(json.dumps(payload, indent=2) + "\n")
@@ -290,7 +255,7 @@ def main() -> None:
         default=None,
         help="recorded BENCH_kernels.json to gate against: fail if any "
         "matching (structure, backend, d, K) speedup ratio regresses "
-        "more than 2x",
+        "more than 2x, or if no row matches",
     )
     args = parser.parse_args()
     out = args.out
@@ -298,7 +263,14 @@ def main() -> None:
         out = REPO_ROOT / "BENCH_kernels.json"
     payload = run(smoke=args.smoke, out=out)
     if args.baseline is not None:
-        check_against_baseline(payload, args.baseline)
+        check_ratios(
+            payload,
+            args.baseline,
+            metric="speedup",
+            what="kernel speedup",
+            fields=("structure", "backend", "d", "K"),
+            rows=lambda p: p["results"],
+        )
 
 
 if __name__ == "__main__":

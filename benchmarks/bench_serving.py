@@ -53,6 +53,7 @@ from repro.serving import (  # noqa: E402
     run_load,
 )
 
+from benchmarks._gate import check_ratios  # noqa: E402
 from benchmarks._tables import format_table  # noqa: E402
 
 SEED = 1997
@@ -218,38 +219,6 @@ def bench_http(
     return rows
 
 
-def check_against_baseline(payload: dict, baseline_path: Path) -> None:
-    """Fail when a coalescing ratio regresses >2x vs the baseline.
-
-    Only the dispatch rows are gated: their speedup compares two code
-    paths on the same machine, so the check is machine-independent.  The
-    HTTP rows carry absolute latencies and are informational.
-    """
-    baseline = json.loads(baseline_path.read_text())
-    current = {
-        (tuple(r["shape"]), r["concurrency"]): r
-        for r in payload["dispatch"]
-    }
-    failures = []
-    for row in baseline.get("dispatch", []):
-        match = current.get((tuple(row["shape"]), row["concurrency"]))
-        if match is None:
-            continue  # smoke runs trim the config list
-        floor = row["speedup"] / 2.0
-        if match["speedup"] < floor:
-            failures.append(
-                f"shape={row['shape']} c={row['concurrency']}: "
-                f"coalescing speedup {match['speedup']:.2f}x < half "
-                f"the baseline's {row['speedup']:.2f}x"
-            )
-    if failures:
-        raise SystemExit(
-            "serving throughput regressed >2x vs "
-            f"{baseline_path.name}:\n  " + "\n  ".join(failures)
-        )
-    print(f"coalescing ratios within 2x of {baseline_path.name}")
-
-
 def run(smoke: bool = False, out: Path | None = None) -> dict:
     dispatch_configs = (
         SMOKE_DISPATCH_CONFIGS if smoke else DISPATCH_CONFIGS
@@ -373,7 +342,14 @@ def main() -> None:
         out = REPO_ROOT / "BENCH_serving.json"
     payload = run(smoke=args.smoke, out=out)
     if args.baseline is not None:
-        check_against_baseline(payload, args.baseline)
+        check_ratios(
+            payload,
+            args.baseline,
+            metric="speedup",
+            what="coalescing speedup",
+            fields=("shape", "concurrency"),
+            rows=lambda p: p["dispatch"],
+        )
 
 
 if __name__ == "__main__":

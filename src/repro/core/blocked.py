@@ -202,6 +202,12 @@ class BlockedPrefixSumCube(RangeSumIndexMixin):
         """
         if self._check_box(box):
             return self.operator.identity
+        return self.range_sum_unchecked(box, counter)
+
+    def range_sum_unchecked(
+        self, box: Box, counter: AccessCounter = NULL_COUNTER
+    ) -> object:
+        """:meth:`range_sum` minus validation (batch default hook)."""
         plans = [
             self._plan_dimension(lo, hi, n)
             for lo, hi, n in zip(box.lo, box.hi, self.shape)
@@ -243,17 +249,11 @@ class BlockedPrefixSumCube(RangeSumIndexMixin):
         highs: object,
         counter: AccessCounter = NULL_COUNTER,
     ) -> np.ndarray:
-        """Answer ``K`` range-sums, vectorizing per the selected kernel.
+        """Answer ``K`` range-sums through the shared blocked batch path.
 
-        The block-aligned internal region of every query (the all-middle
-        member of its ``3^d`` decomposition) is resolved for the whole
-        batch with a single gather on the blocked prefix array.  What
-        happens to the boundary regions depends on the resolved execution
-        kernel: backends with ``serial_boundaries`` (the ``numpy``
-        oracle) fall back to the scalar machinery query by query — the
-        historical code path, bit for bit — while the others run the
-        one-pass vectorized boundary machinery of
-        :mod:`repro.kernels.boundary`.
+        :func:`repro.query.batch.blocked_sum_many` runs small batches
+        through :meth:`range_sum_unchecked` row by row and resolves every
+        region of a larger batch in one vectorized pass.
 
         Args:
             lows: ``(K, d)`` inclusive lower bounds (array-like, ints).
@@ -264,34 +264,12 @@ class BlockedPrefixSumCube(RangeSumIndexMixin):
             A ``(K,)`` array of aggregates; empty rows (``hi < lo``)
             yield the operator identity.
         """
-        from repro.kernels import blocked_sum_many_vectorized, resolve_kernel
-        from repro.query.batch import (
-            blocked_sum_many,
-            normalize_query_arrays,
-            solve_with_identity,
-        )
+        from repro.query.batch import blocked_sum_many, normalize_query_arrays
 
-        kern = resolve_kernel(override=self.kernel)
         lo, hi = normalize_query_arrays(
             lows, highs, self.shape, allow_empty=True
         )
-        if kern.serial_boundaries:
-            return solve_with_identity(
-                lo,
-                hi,
-                self.operator.identity,
-                lambda l, h: blocked_sum_many(
-                    self, l, h, counter, kernel=kern
-                ),
-            )
-        return solve_with_identity(
-            lo,
-            hi,
-            self.operator.identity,
-            lambda l, h: blocked_sum_many_vectorized(
-                self, l, h, kern, counter
-            ),
-        )
+        return blocked_sum_many(self, lo, hi, counter)
 
     def total(self, counter: AccessCounter = NULL_COUNTER) -> object:
         """Aggregate of the entire cube."""

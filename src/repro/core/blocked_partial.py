@@ -71,13 +71,9 @@ def _sample_blocked_partial_params(
 class BlockedPartialPrefixSumCube(RangeSumIndexMixin):
     """Prefix sums blocked with factor ``b`` along a subset ``X'``.
 
-    ``sum_many`` routes through the execution-kernel layer: under a
-    kernel with ``serial_boundaries`` (the ``numpy`` oracle) it falls
-    back to the protocol mixin's scalar loop — the historical behaviour,
-    query by query — while the vectorizing backends answer the whole
-    batch through :func:`repro.kernels.blocked_sum_many_vectorized`,
-    reducing every boundary region of the batch in one
-    ``np.add.reduceat``-style pass.
+    ``sum_many`` goes through :func:`repro.query.batch.blocked_sum_many`:
+    small batches run the protocol mixin's scalar loop, larger ones
+    reduce every region of the batch in one vectorized pass.
 
     Args:
         cube: The raw data cube ``A`` (retained for boundary scans).
@@ -270,13 +266,11 @@ class BlockedPartialPrefixSumCube(RangeSumIndexMixin):
         highs: object,
         counter: AccessCounter = NULL_COUNTER,
     ) -> np.ndarray:
-        """Answer ``K`` range-sums, vectorizing per the selected kernel.
+        """Answer ``K`` range-sums through the shared blocked batch path.
 
-        Backends with ``serial_boundaries`` (the ``numpy`` oracle)
-        delegate to the protocol mixin's scalar loop — the historical
-        code path, bit for bit — while the others reduce every boundary
-        region of the batch in one pass through
-        :func:`repro.kernels.blocked_sum_many_vectorized`.
+        :func:`repro.query.batch.blocked_sum_many` runs small batches
+        through :meth:`range_sum_unchecked` row by row and reduces every
+        region of a larger batch in one vectorized pass.
 
         Args:
             lows: ``(K, d)`` inclusive lower bounds (array-like, ints).
@@ -287,26 +281,12 @@ class BlockedPartialPrefixSumCube(RangeSumIndexMixin):
             A ``(K,)`` array of aggregates; empty rows (``hi < lo``)
             yield the operator identity.
         """
-        from repro.kernels import blocked_sum_many_vectorized, resolve_kernel
-        from repro.query.batch import (
-            normalize_query_arrays,
-            solve_with_identity,
-        )
+        from repro.query.batch import blocked_sum_many, normalize_query_arrays
 
-        kern = resolve_kernel(override=self.kernel)
-        if kern.serial_boundaries:
-            return super().sum_many(lows, highs, counter)
         lo, hi = normalize_query_arrays(
             lows, highs, self.shape, allow_empty=True
         )
-        return solve_with_identity(
-            lo,
-            hi,
-            self.operator.identity,
-            lambda l, h: blocked_sum_many_vectorized(
-                self, l, h, kern, counter
-            ),
-        )
+        return blocked_sum_many(self, lo, hi, counter)
 
     def apply_updates(self, updates: Sequence[PointUpdate]) -> int:
         """Batch-update the structure (§5.2 along ``X'``, raw elsewhere).

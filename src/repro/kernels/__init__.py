@@ -7,9 +7,8 @@ precedence (call site > per-index override > ``$REPRO_KERNEL`` >
 
 Importing this package registers the shipped backends:
 
-* ``numpy`` — the factored-out historical path; the correctness oracle;
-* ``threaded`` — shard-and-combine over a worker pool, with the
-  vectorized blocked-boundary pass;
+* ``numpy`` — single-threaded primitives; the default and the reference;
+* ``threaded`` — shard-and-combine over a worker pool;
 * ``numba`` — JIT segment reduce when numba is importable, silently the
   numpy path otherwise;
 * ``auto`` — ``threaded`` on multi-core hosts, ``numpy`` on single-core.
@@ -19,10 +18,7 @@ from __future__ import annotations
 
 import os
 
-from repro.kernels.boundary import (
-    blocked_sum_many_vectorized,
-    box_reduce_many,
-)
+from repro.kernels.boundary import box_reduce_many
 from repro.kernels.corner import (
     combine_corner_values,
     corner_table,
@@ -64,7 +60,6 @@ __all__ = [
     "NumpyKernel",
     "ThreadedKernel",
     "available_kernels",
-    "blocked_sum_many_vectorized",
     "box_reduce_many",
     "combine_corner_values",
     "corner_table",

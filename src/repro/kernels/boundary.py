@@ -1,14 +1,12 @@
 """One-pass vectorized boundary machinery for the blocked structures.
 
-The historical blocked query path answers each query's boundary regions
-with per-query Python: plan the ``3^{d'}`` decomposition, pick method 1
-(scan the region) or method 2 (superblock minus complement) per region,
-and reduce each scan with a separate ``reduce_box`` call.  That loop is
-the dominant cost of ``sum_many`` on blocked structures — ``K`` queries
-pay the interpreter ``K · 3^{d'}`` times.
-
-This module evaluates the *entire batch* in a constant number of array
-passes:
+Answering a blocked query row by row means planning its ``3^{d'}``
+decomposition, picking method 1 (scan the region) or method 2
+(superblock minus complement) per region, and reducing each scan with
+its own ``reduce_box`` call — ``K`` queries pay the interpreter
+``K · 3^{d'}`` times.  For large batches
+(:data:`repro.query.batch.SMALL_BATCH_ROWS` rows or more) this module
+evaluates the *entire batch* in a constant number of array passes:
 
 1. per chosen dimension, the §4.2 split points (``l'``, ``h'``, the
    aligned superblock bounds) are computed for all ``K`` queries at once,
@@ -22,15 +20,16 @@ passes:
    :func:`repro._util.box_difference`, but for all affected queries at
    once;
 4. every raw-cube scan this produces — across all queries, combos and
-   complement pieces — lands in one flat list of boxes, reduced in a
-   single :func:`box_reduce_many` pass (gather + ``ufunc.reduceat``
-   through the kernel's ``segment_reduce``);
+   complement pieces — lands in one flat list of boxes, reduced by
+   :func:`box_reduce_many`: boxes of at most :data:`GATHER_MAX_CELLS`
+   cells in one gather + ``ufunc.reduceat`` pass through the kernel's
+   ``segment_reduce``, larger boxes one numpy slice each;
 5. per-query contributions are folded with ``ufunc.at`` into positive /
    negative accumulators and combined once with ``⊖``.
 
 Access counting is preserved exactly: the same ``prefix_cells`` /
 ``cube_cells`` totals are charged as the scalar loop would charge, so
-instrumented comparisons hold across kernels.
+instrumented comparisons hold on both sides of the batch-size switch.
 """
 
 from __future__ import annotations
@@ -53,6 +52,19 @@ def c_strides(shape: tuple[int, ...]) -> np.ndarray:
     return strides
 
 
+#: Boxes of more cells than this are reduced one numpy slice each;
+#: smaller ones are expanded into last-axis runs and reduced together in
+#: one gather.  Expanding a box costs index arrays several times its cell
+#: count, while a slice costs a few microseconds of Python per box.
+#: Measured on a 2-core VM (int64, b = 16, tracemalloc peaks):
+#: 256 random boxes on a 256×256×64 cube took 437 ms at 266 MiB when
+#: every box was gathered and 64 ms at 1.1 MiB with this cut; a
+#: 4096-row group-by on 64×64×64×16 took 77 ms at 86 MiB against 58 ms
+#: at 7 MiB; slicing every box instead cost 55 ms against 31 ms on 1000
+#: random boxes of a blocked-partial 128×128×8 cube (thin bands).
+GATHER_MAX_CELLS = 64
+
+
 def box_reduce_many(
     array: np.ndarray,
     box_lo: np.ndarray,
@@ -60,13 +72,12 @@ def box_reduce_many(
     operator: InvertibleOperator,
     kernel: ExecutionKernel,
 ) -> np.ndarray:
-    """Reduce ``n`` axis-aligned boxes of one array in a single pass.
+    """Reduce ``n`` axis-aligned boxes of one array.
 
-    Each box is expanded into its contiguous last-axis runs (one run per
-    row of the box), all runs of all boxes are reduced together through
-    the kernel's ``segment_reduce``, and per-box totals come from a
-    second ``reduceat`` over the run aggregates.  Boxes may appear in any
-    order and overlap freely.  The caller owns counter accounting.
+    Boxes of at most :data:`GATHER_MAX_CELLS` cells go through one
+    gather pass (:func:`_gather_reduce`); every larger box is reduced as
+    one numpy slice.  Boxes may appear in any order and overlap freely.
+    The caller owns counter accounting.
 
     Args:
         array: The source array (C-ordered; backends materialize C
@@ -74,21 +85,51 @@ def box_reduce_many(
         box_lo: ``(n, d)`` inclusive lower corners, all inside ``array``.
         box_hi: ``(n, d)`` inclusive upper corners, ``>= box_lo``.
         operator: The invertible operator (must expose a ufunc).
-        kernel: Backend whose ``segment_reduce`` does the heavy pass.
+        kernel: Backend whose ``segment_reduce`` does the gather pass.
 
     Returns:
         An ``(n,)`` array of box aggregates in the accumulation dtype.
     """
-    target = operator.accumulation_dtype(array.dtype)
-    n = len(box_lo)
-    if n == 0:
-        return np.zeros(0, dtype=target)
     apply_ufunc = operator.apply
     if not isinstance(apply_ufunc, np.ufunc):  # pragma: no cover
         raise TypeError(
             "box_reduce_many requires a ufunc operator; "
             f"{operator.name!r} is not one"
         )
+    target = operator.accumulation_dtype(array.dtype)
+    out = np.empty(len(box_lo), dtype=target)
+    small = np.prod(box_hi - box_lo + 1, axis=1) <= GATHER_MAX_CELLS
+    big = np.flatnonzero(~small)
+    for k, lo, hi in zip(
+        big.tolist(), box_lo[big].tolist(), box_hi[big].tolist()
+    ):
+        window = array[tuple(slice(l, h + 1) for l, h in zip(lo, hi))]
+        out[k] = apply_ufunc.reduce(window, axis=None, dtype=target)
+    if np.any(small):
+        out[small] = _gather_reduce(
+            array, box_lo[small], box_hi[small], operator, kernel
+        )
+    return out
+
+
+def _gather_reduce(
+    array: np.ndarray,
+    box_lo: np.ndarray,
+    box_hi: np.ndarray,
+    operator: InvertibleOperator,
+    kernel: ExecutionKernel,
+) -> np.ndarray:
+    """Reduce ``n`` (small) boxes in a single gather pass.
+
+    Each box is expanded into its contiguous last-axis runs (one run per
+    row of the box), all runs of all boxes are reduced together through
+    the kernel's ``segment_reduce``, and per-box totals come from a
+    second ``reduceat`` over the run aggregates.
+    """
+    target = operator.accumulation_dtype(array.dtype)
+    n = len(box_lo)
+    apply_ufunc = operator.apply
+    assert isinstance(apply_ufunc, np.ufunc)  # checked by box_reduce_many
     flat = np.reshape(array, -1)
     extents = box_hi - box_lo + 1
     strides = c_strides(tuple(int(s) for s in array.shape))
@@ -217,15 +258,16 @@ def blocked_sum_many_vectorized(
     dimensions chosen) and
     :class:`~repro.core.blocked_partial.BlockedPartialPrefixSumCube`
     (chosen subset + passive slabs).  Results and access-counter totals
-    match the scalar decomposition exactly — this is the
-    ``serial_boundaries = False`` fast path the ``threaded`` and
-    ``numba`` kernels select.
+    match the scalar decomposition exactly;
+    :func:`repro.query.batch.blocked_sum_many` runs it for every batch
+    of :data:`repro.query.batch.SMALL_BATCH_ROWS` rows or more.
 
     Args:
         structure: A blocked (partial) prefix-sum cube.
         lows: Validated non-empty ``(K, d)`` inclusive lower bounds.
         highs: Validated ``(K, d)`` inclusive upper bounds.
-        kernel: The resolved execution backend.
+        kernel: The resolved execution backend (it only threads the
+            primitives; the algorithm is the same for every kernel).
         counter: Standard access counter.
 
     Returns:

@@ -1,11 +1,10 @@
-"""The ``numpy`` backend: the historical code path, factored out.
+"""The ``numpy`` backend: the three primitives, single-threaded.
 
-This is the correctness oracle every other backend is differentially
-fuzzed and benchmarked against.  It is intentionally boring: the corner
+This is the default backend and the reference every other backend is
+differentially fuzzed against.  It is intentionally boring: the corner
 primitives are exactly the ones :mod:`repro.query.batch` always used,
-and ``serial_boundaries`` is True, so blocked structures keep their
-historical per-query boundary loops — an unconfigured process computes
-bit-for-bit what it did before the kernel layer existed.
+and segment reduce and scatter are the serial helpers of
+:mod:`repro.kernels.segments`.
 """
 
 from __future__ import annotations
@@ -24,14 +23,13 @@ from repro.kernels.segments import scatter_serial, segment_reduce_serial
 
 @register_kernel(
     "numpy",
-    description="single-threaded numpy; the factored-out historical "
-    "path and the correctness oracle",
+    description="single-threaded numpy primitives; the default and the "
+    "reference for the other backends",
 )
 class NumpyKernel:
     """Serial numpy implementation of the three kernel primitives."""
 
     name = "numpy"
-    serial_boundaries = True
 
     def corner_gather(
         self,

@@ -16,13 +16,10 @@ all the machine time goes:
 three primitives.  Structures never import a concrete backend; they call
 :func:`repro.kernels.resolve_kernel` and go through this surface, so the
 ``numpy`` oracle, the ``threaded`` shard-and-combine pool and the
-optional ``numba`` JIT all plug in behind the same three methods.
-
-A kernel also declares ``serial_boundaries``: ``True`` means blocked
-structures should keep their historical per-query boundary loop (the
-``numpy`` oracle — bit-for-bit the pre-kernel code path), ``False``
-means they should run the one-pass vectorized boundary machinery of
-:mod:`repro.kernels.boundary`.
+optional ``numba`` JIT all plug in behind the same three methods.  A
+kernel decides only how the primitives run (serially, sharded across a
+pool, compiled) — never which query algorithm runs; that is chosen from
+the batch itself (see :func:`repro.query.batch.blocked_sum_many`).
 """
 
 from __future__ import annotations
@@ -41,10 +38,6 @@ class ExecutionKernel(Protocol):
 
     #: Registry name of the backend (``"numpy"``, ``"threaded"``, ...).
     name: str
-
-    #: True when blocked structures should keep the scalar per-query
-    #: boundary loop instead of the vectorized one-pass machinery.
-    serial_boundaries: bool
 
     def corner_gather(
         self,

@@ -46,7 +46,7 @@ def naive_max_index(
     counter.count_cube(box.volume)
     window = cube[box.slices()]
     local = np.unravel_index(int(np.argmax(window)), window.shape)
-    return tuple(l + o for l, o in zip(box.lo, local))
+    return tuple(int(l + o) for l, o in zip(box.lo, local))
 
 
 def naive_max_value(

@@ -270,7 +270,18 @@ class ServingServer:
         payload: dict,
         keep_alive: bool,
     ) -> None:
-        body = json.dumps(payload).encode("utf-8")
+        try:
+            body = json.dumps(payload).encode("utf-8")
+        except (TypeError, ValueError) as exc:
+            # An unencodable answer is a bug like any other in dispatch:
+            # reply 500 rather than drop the connection unanswered.
+            status = 500
+            body = json.dumps(
+                {
+                    "error": "internal",
+                    "message": f"response not encodable: {exc}",
+                }
+            ).encode("utf-8")
         connection = "keep-alive" if keep_alive else "close"
         head = (
             f"HTTP/1.1 {status} {REASONS.get(status, 'Unknown')}\r\n"

@@ -31,6 +31,7 @@ from repro.core.operators import get_operator
 from repro.index.backend import MemmapBackend
 from repro.index.protocol import InstrumentedIndex, values_match
 from repro.index.registry import IndexInfo, create_index, get_index_info
+from repro.query.batch import SMALL_BATCH_ROWS
 from repro.verify.oracle import (
     IDENTITIES,
     oracle_aggregate,
@@ -265,6 +266,10 @@ def _step_query_empty(scenario, info, index, shadow, rng):
 
 def _step_query_many(scenario, info, index, shadow, rng):
     count = int(rng.integers(2, 9))
+    if rng.random() < 0.5:
+        # Straddle the blocked structures' switch from row-by-row to
+        # one-pass batches, so both branches meet the oracle.
+        count += SMALL_BATCH_ROWS - 5
     if info.kind == "max":
         return _check_max_query_many(
             scenario, info, index, shadow, rng, count

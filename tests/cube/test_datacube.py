@@ -8,6 +8,7 @@ import pytest
 from repro.cube.builder import build_measure_array
 from repro.cube.datacube import DataCube
 from repro.cube.dimensions import CategoricalDimension, IntegerDimension
+from repro.index.registry import IndexSpec
 from repro.instrumentation import AccessCounter
 
 
@@ -162,6 +163,55 @@ class TestQueries:
         dims = [IntegerDimension("a", 0, 3), IntegerDimension("b", 0, 3)]
         cube = DataCube(dims, measures)
         assert cube.sum(a=(1, 2)) == measures[1:3].sum()
+
+
+class TestBuildIndexSpecs:
+    """``build_index``'s shorthand kwargs name registry specs."""
+
+    @pytest.fixture
+    def cube(self, rng):
+        dims = [
+            IntegerDimension("a", 0, 9),
+            IntegerDimension("b", 0, 7),
+            IntegerDimension("c", 0, 5),
+        ]
+        return DataCube(dims, rng.integers(0, 50, (10, 8, 6)))
+
+    def test_block_size_builds_the_blocked_structure(self, cube):
+        engine = cube.build_index(block_size=4, max_fanout=None)
+        assert engine.sum_spec == IndexSpec.of(
+            "blocked_prefix_sum", block_size=4
+        )
+        assert cube.sum(a=(2, 8), c=3) == cube.measures[2:9, :, 3].sum()
+
+    def test_prefix_dims_by_name_build_the_partial_structure(self, cube):
+        engine = cube.build_index(prefix_dims=["a", "c"], max_fanout=None)
+        assert engine.sum_spec == IndexSpec.of(
+            "partial_prefix_sum", prefix_dims=(0, 2)
+        )
+
+    def test_max_fanout_sets_the_tree(self, cube):
+        engine = cube.build_index(max_fanout=3)
+        assert engine.max_spec == IndexSpec.of("range_max_tree", fanout=3)
+
+    def test_max_fanout_none_skips_the_trees(self, cube):
+        engine = cube.build_index(max_fanout=None)
+        assert engine.max_spec is None
+        assert engine.route("max") is None
+
+    def test_block_size_and_prefix_dims_clash(self, cube):
+        with pytest.raises(ValueError, match="cannot combine"):
+            cube.build_index(block_size=3, prefix_dims=["a"])
+
+    def test_explicit_specs_override_the_shorthand(self, cube):
+        engine = cube.build_index(
+            block_size=4,
+            max_fanout=None,
+            sum_index="prefix_sum",
+            max_index=IndexSpec.of("range_max_tree", fanout=2),
+        )
+        assert engine.sum_spec == IndexSpec.of("prefix_sum")
+        assert engine.max_spec == IndexSpec.of("range_max_tree", fanout=2)
 
 
 class TestParseQuery:

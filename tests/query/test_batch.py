@@ -18,8 +18,12 @@ import pytest
 from repro._util import Box, full_box
 from repro.core.operators import XOR
 from repro.core.prefix_sum import PrefixSumCube
+from repro.index.registry import IndexSpec, create_index
 from repro.instrumentation import AccessCounter
+from repro.kernels import boundary
+from repro.kernels.boundary import GATHER_MAX_CELLS
 from repro.query.batch import (
+    SMALL_BATCH_ROWS,
     boxes_to_arrays,
     combine_corner_values,
     corner_table,
@@ -38,6 +42,17 @@ from repro.query.workload import (
 
 SHAPES = {1: (41,), 2: (13, 11), 3: (8, 7, 6), 4: (6, 5, 4, 3)}
 N_BOXES = 200
+
+
+def sum_spec(block_size):
+    """The §3 prefix sum for ``b = 1``, the §4 blocked cube otherwise."""
+    if block_size == 1:
+        return IndexSpec.of("prefix_sum")
+    return IndexSpec.of("blocked_prefix_sum", block_size=block_size)
+
+
+def tree(fanout):
+    return IndexSpec.of("range_max_tree", fanout=fanout)
 
 
 def _case_boxes(shape, rng):
@@ -64,7 +79,10 @@ class TestBatchEqualsScalarEqualsNaive:
         cube = make_cube(shape, rng)
         counts = rng.integers(1, 5, size=shape).astype(np.int64)
         engine = RangeQueryEngine(
-            cube, block_size=block_size, max_fanout=None, counts=counts
+            cube,
+            sum_index=sum_spec(block_size),
+            max_index=None,
+            counts=counts,
         )
         boxes = _case_boxes(shape, rng)
         lows, highs = boxes_to_arrays(boxes, shape)
@@ -82,7 +100,7 @@ class TestBatchEqualsScalarEqualsNaive:
         shape = SHAPES[ndim]
         cube = make_cube(shape, rng, low=-100, high=100)
         engine = RangeQueryEngine(
-            cube, block_size=block_size, max_fanout=3
+            cube, sum_index=sum_spec(block_size), max_index=tree(3)
         )
         boxes = _case_boxes(shape, rng)
         max_idx, max_vals = engine.max_many(boxes)
@@ -109,7 +127,11 @@ def test_partial_prefix_batch(ndim, prefix_dims, rng):
     shape = SHAPES[ndim]
     cube = make_cube(shape, rng)
     engine = RangeQueryEngine(
-        cube, max_fanout=None, prefix_dims=prefix_dims
+        cube,
+        sum_index=IndexSpec.of(
+            "partial_prefix_sum", prefix_dims=tuple(prefix_dims)
+        ),
+        max_index=None,
     )
     boxes = _case_boxes(shape, rng)
     sums = engine.sum_many(boxes)
@@ -149,7 +171,7 @@ def test_batch_kernel_generic_operator(rng):
 def test_float_cube_batch_close(rng):
     """Float batches agree with scalar up to summation-order rounding."""
     cube = rng.standard_normal((10, 9, 8))
-    engine = RangeQueryEngine(cube, max_fanout=None)
+    engine = RangeQueryEngine(cube, max_index=None)
     boxes = _case_boxes((10, 9, 8), rng)
     sums = engine.sum_many(boxes)
     want = np.array([engine.sum(box) for box in boxes])
@@ -158,13 +180,13 @@ def test_float_cube_batch_close(rng):
 
 class TestBatchInputValidation:
     def test_shape_mismatch(self, rng):
-        engine = RangeQueryEngine(make_cube((6, 6), rng), max_fanout=None)
+        engine = RangeQueryEngine(make_cube((6, 6), rng), max_index=None)
         with pytest.raises(ValueError, match=r"\(K, 2\)"):
             engine.sum_many(np.zeros((3, 3), int), np.ones((3, 3), int))
 
     def test_lo_above_hi_yields_identity(self, rng):
         cube = make_cube((6, 6), rng)
-        engine = RangeQueryEngine(cube, max_fanout=None)
+        engine = RangeQueryEngine(cube, max_index=None)
         sums = engine.sum_many(
             np.array([[0, 0], [3, 3]]), np.array([[5, 5], [2, 5]])
         )
@@ -172,28 +194,28 @@ class TestBatchInputValidation:
         assert sums[1] == 0  # empty row: the SUM identity
 
     def test_lo_above_hi_rejected_for_max(self, rng):
-        engine = RangeQueryEngine(make_cube((6, 6), rng), max_fanout=3)
+        engine = RangeQueryEngine(make_cube((6, 6), rng), max_index=tree(3))
         with pytest.raises(ValueError, match="empty query region at row 1"):
             engine.max_many(
                 np.array([[0, 0], [3, 3]]), np.array([[5, 5], [2, 5]])
             )
 
     def test_out_of_bounds(self, rng):
-        engine = RangeQueryEngine(make_cube((6, 6), rng), max_fanout=None)
+        engine = RangeQueryEngine(make_cube((6, 6), rng), max_index=None)
         with pytest.raises(ValueError, match="outside cube"):
             engine.sum_many(
                 np.array([[0, 0]]), np.array([[6, 5]])
             )
 
     def test_non_integer_bounds(self, rng):
-        engine = RangeQueryEngine(make_cube((6, 6), rng), max_fanout=None)
+        engine = RangeQueryEngine(make_cube((6, 6), rng), max_index=None)
         with pytest.raises(ValueError, match="must be integers"):
             engine.sum_many(
                 np.array([[0.0, 0.0]]), np.array([[2.0, 2.0]])
             )
 
     def test_empty_batch(self, rng):
-        engine = RangeQueryEngine(make_cube((6, 6), rng), max_fanout=3)
+        engine = RangeQueryEngine(make_cube((6, 6), rng), max_index=tree(3))
         empty = np.empty((0, 2), dtype=np.int64)
         assert engine.sum_many(empty, empty).shape == (0,)
         assert engine.count_many(empty, empty).shape == (0,)
@@ -204,7 +226,7 @@ class TestBatchInputValidation:
         cube = make_cube((4, 4), rng)
         counts = np.zeros((4, 4), dtype=np.int64)
         counts[2, 2] = 3
-        engine = RangeQueryEngine(cube, counts=counts, max_fanout=None)
+        engine = RangeQueryEngine(cube, counts=counts, max_index=None)
         averages = engine.average_many(
             np.array([[0, 0], [2, 2]]), np.array([[1, 1], [2, 2]])
         )
@@ -214,7 +236,7 @@ class TestBatchInputValidation:
 
     def test_range_query_objects_accepted(self, rng):
         cube = make_cube((10, 10), rng)
-        engine = RangeQueryEngine(cube, max_fanout=None)
+        engine = RangeQueryEngine(cube, max_index=None)
         queries = [
             RangeQuery((RangeSpec.between(2, 5), RangeSpec.all())),
             Box((0, 0), (9, 9)),
@@ -257,7 +279,7 @@ class TestNormalization:
 class TestRollingSumBatch:
     def test_matches_per_window_queries(self, rng):
         cube = make_cube((40, 6), rng)
-        engine = RangeQueryEngine(cube, max_fanout=None)
+        engine = RangeQueryEngine(cube, max_index=None)
         results = list(engine.rolling_sum(axis=0, window=7))
         assert len(results) == 34
         for start, value in results:
@@ -274,7 +296,9 @@ class TestRollingSumBatch:
 
     def test_blocked_engine_rolling(self, rng):
         cube = make_cube((30, 8), rng)
-        engine = RangeQueryEngine(cube, block_size=4, max_fanout=None)
+        engine = RangeQueryEngine(
+            cube, sum_index=sum_spec(4), max_index=None
+        )
         for start, value in engine.rolling_sum(axis=1, window=3):
             assert value == cube[:, start : start + 3].sum()
 
@@ -283,7 +307,7 @@ class TestWorkloadRouting:
     def test_run_query_log_matches_scalar(self, rng):
         shape = (12, 10)
         cube = make_cube(shape, rng)
-        engine = RangeQueryEngine(cube, max_fanout=3)
+        engine = RangeQueryEngine(cube, max_index=tree(3))
         queries = [random_box(shape, rng) for _ in range(50)]
         assert (
             run_query_log(engine, queries, "sum")
@@ -299,7 +323,7 @@ class TestWorkloadRouting:
         ).all()
 
     def test_unknown_aggregate(self, rng):
-        engine = RangeQueryEngine(make_cube((4, 4), rng), max_fanout=None)
+        engine = RangeQueryEngine(make_cube((4, 4), rng), max_index=None)
         with pytest.raises(ValueError, match="unknown aggregate"):
             run_query_log(engine, [], "median")
 
@@ -314,7 +338,7 @@ class TestCounterParity:
     def test_prefix_corner_charges_match_scalar(self, rng):
         """Batch charges exactly the valid-corner reads, like scalar."""
         cube = make_cube((9, 9), rng)
-        engine = RangeQueryEngine(cube, max_fanout=None)
+        engine = RangeQueryEngine(cube, max_index=None)
         boxes = [random_box((9, 9), rng) for _ in range(40)]
         scalar_counter = AccessCounter()
         for box in boxes:
@@ -333,7 +357,7 @@ class TestMinUnsignedRegression:
     )
     def test_unsigned_min_exact_no_warning(self, dtype):
         cube = np.arange(12, dtype=dtype)
-        engine = RangeQueryEngine(cube, max_fanout=2)
+        engine = RangeQueryEngine(cube, max_index=tree(2))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             index, value = engine.min(Box((0,), (11,)))
@@ -344,7 +368,7 @@ class TestMinUnsignedRegression:
 
     def test_unsigned_min_random(self, rng):
         cube = rng.integers(0, 200, size=(9, 8)).astype(np.uint32)
-        engine = RangeQueryEngine(cube, max_fanout=3)
+        engine = RangeQueryEngine(cube, max_index=tree(3))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             for _ in range(50):
@@ -359,7 +383,7 @@ class TestMinUnsignedRegression:
     def test_bool_cube_min_max(self):
         cube = np.zeros((4, 4), dtype=bool)
         cube[2, 3] = True
-        engine = RangeQueryEngine(cube, max_fanout=2)
+        engine = RangeQueryEngine(cube, max_index=tree(2))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             _, lowest = engine.min(Box((0, 0), (3, 3)))
@@ -376,7 +400,10 @@ class TestPythonScalarReturns:
         cube = make_cube((10, 10), rng)
         counts = rng.integers(1, 3, (10, 10)).astype(np.int64)
         engine = RangeQueryEngine(
-            cube, block_size=block_size, max_fanout=2, counts=counts
+            cube,
+            sum_index=sum_spec(block_size),
+            max_index=tree(2),
+            counts=counts,
         )
         box = Box((1, 2), (7, 8))
         assert type(engine.sum(box)) is int
@@ -388,14 +415,14 @@ class TestPythonScalarReturns:
         assert type(bottom) is int
 
     def test_rolling_sum_yields_ints(self, rng):
-        engine = RangeQueryEngine(make_cube((12,), rng), max_fanout=None)
+        engine = RangeQueryEngine(make_cube((12,), rng), max_index=None)
         for start, value in engine.rolling_sum(axis=0, window=5):
             assert type(start) is int
             assert type(value) is int
 
     def test_float_cube_sum_is_float(self, rng):
         engine = RangeQueryEngine(
-            rng.standard_normal((6, 6)), max_fanout=None
+            rng.standard_normal((6, 6)), max_index=None
         )
         assert type(engine.sum(Box((0, 0), (3, 3)))) is float
 
@@ -422,3 +449,81 @@ class TestCombineCornerDtype:
         result = combine_corner_values(values, valid, signs, XOR)
         assert result.dtype == np.int8
         assert result[0] == (0x5A ^ 0x0F)
+
+
+class TestBlockedBatchSwitch:
+    """Blocked ``sum_many`` picks its algorithm from the batch: row by
+    row below ``SMALL_BATCH_ROWS``, one pass above, gathering scans of
+    at most ``GATHER_MAX_CELLS`` cells and slicing bigger ones.  Every
+    side of both cut-offs must equal the scalar path and the naive scan
+    exactly, and charge the same accesses."""
+
+    STRUCTURES = {
+        "blocked_prefix_sum": {"block_size": 3},
+        "blocked_partial_prefix_sum": {
+            "block_size": 3,
+            "prefix_dims": (0, 2),
+        },
+    }
+
+    @staticmethod
+    def _check(index, cube, lows, highs):
+        counter = AccessCounter()
+        batch = index.sum_many(lows, highs, counter)
+        scalar_counter = AccessCounter()
+        boxes = [
+            Box(tuple(lo), tuple(hi))
+            for lo, hi in zip(lows.tolist(), highs.tolist())
+        ]
+        scalar = [index.range_sum(box, scalar_counter) for box in boxes]
+        naive = [naive_range_sum(cube, box) for box in boxes]
+        assert batch.tolist() == scalar == naive
+        assert counter.snapshot() == scalar_counter.snapshot()
+
+    @pytest.mark.parametrize("rows", [SMALL_BATCH_ROWS - 1, SMALL_BATCH_ROWS])
+    @pytest.mark.parametrize("name", sorted(STRUCTURES))
+    def test_row_cutoff(self, name, rows, rng, monkeypatch):
+        cube = make_cube((11, 9, 7), rng)
+        index = create_index(name, cube, **self.STRUCTURES[name])
+        lows, highs = random_query_arrays(cube.shape, rows, rng)
+        planned = []
+        one_pass = boundary.blocked_sum_many_vectorized
+
+        def spy(structure, l, h, *rest):
+            planned.append(len(l))
+            return one_pass(structure, l, h, *rest)
+
+        monkeypatch.setattr(boundary, "blocked_sum_many_vectorized", spy)
+        self._check(index, cube, lows, highs)
+        assert planned == ([] if rows < SMALL_BATCH_ROWS else [rows])
+
+    @pytest.mark.parametrize(
+        "name,params",
+        [
+            ("blocked_prefix_sum", {"block_size": 300}),
+            (
+                "blocked_partial_prefix_sum",
+                {"block_size": 300, "prefix_dims": (1,)},
+            ),
+        ],
+    )
+    def test_gather_cutoff(self, name, params, rng, monkeypatch):
+        # One block spans the cube, so every row is a single method-1
+        # scan of exactly its own cells: GATHER_MAX_CELLS or one more.
+        cube = make_cube((4, 300), rng)
+        index = create_index(name, cube, **params)
+        rows = np.arange(SMALL_BATCH_ROWS)
+        lows = np.zeros((SMALL_BATCH_ROWS, 2), dtype=np.int64)
+        lows[:, 0] = rows % 4
+        highs = lows.copy()
+        highs[:, 1] = GATHER_MAX_CELLS - 1 + rows % 2
+        gathered = []
+        gather = boundary._gather_reduce
+
+        def spy(array, box_lo, box_hi, *rest):
+            gathered.extend(np.prod(box_hi - box_lo + 1, axis=1).tolist())
+            return gather(array, box_lo, box_hi, *rest)
+
+        monkeypatch.setattr(boundary, "_gather_reduce", spy)
+        self._check(index, cube, lows, highs)
+        assert gathered == [GATHER_MAX_CELLS] * (SMALL_BATCH_ROWS // 2)

@@ -178,6 +178,44 @@ def test_unhandled_handler_bug_maps_to_500() -> None:
     serve(body)
 
 
+def test_fallback_tier_max_and_min_answer_over_http() -> None:
+    """A cube with no indexed tier answers MAX/MIN by base scan; the
+    witness index must reach the client as JSON, not drop the
+    connection."""
+
+    async def body(server, data) -> None:
+        server.service.register_cube("flat", data, engine=None)
+        box = (slice(1, 5), slice(0, 3), slice(2, 4))
+        ranges = [[1, 4], [0, 2], [2, 3]]
+        async with ServingClient(server.host, server.port) as client:
+            top = await client.query("flat", ranges, op="max")
+            bottom = await client.query("flat", ranges, op="min")
+        assert top["tier"] == bottom["tier"] == "fallback"
+        assert top["value"] == int(data[box].max())
+        assert data[tuple(top["index"])] == top["value"]
+        assert bottom["value"] == int(data[box].min())
+        assert data[tuple(bottom["index"])] == bottom["value"]
+
+    serve(body)
+
+
+def test_unencodable_payload_maps_to_500() -> None:
+    async def body(server, data) -> None:
+        async def unencodable(payload):
+            return {"value": object()}
+
+        server.service.query = unencodable
+        async with ServingClient(server.host, server.port) as client:
+            with pytest.raises(ServingClientError) as failure:
+                await client.query("web", [None, None, None])
+            assert failure.value.status == 500
+            assert failure.value.payload["error"] == "internal"
+            # The connection survives the failed encode.
+            assert (await client.healthz())["ok"]
+
+    serve(body)
+
+
 def test_port_zero_binds_ephemeral() -> None:
     async def body(server, data) -> None:
         assert server.port != 0
